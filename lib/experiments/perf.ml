@@ -115,6 +115,16 @@ let service_batch =
      @ cold
      @ [ Libs.Service.Protocol.drain_frame ])
 
+(* Two random designs whose canonical-order search branches widely:
+   under full branch enumeration the first renders 384 equal leaves and
+   the second exhausts the refinement budget, so the search's work
+   counters, service.canon_refine_rounds and service.canon_leaves, gate
+   a slide back to it. *)
+let canon_networks =
+  lazy
+    [ random_design ~seed:5_000_003 ~inner:81;
+      random_design ~seed:3_000_236 ~inner:107 ]
+
 let groups =
   [
     { name = "kernel";
@@ -287,6 +297,15 @@ let groups =
               keep (Libs.Service.Server.run ic oc);
               close_in ic;
               close_out oc)) };
+    { name = "canon";
+      doc = "canonical fingerprints of two random designs (81 and 107 \
+             inner blocks) with large automorphism groups: the key every \
+             served partition request computes";
+      run =
+        (fun () ->
+          List.iter
+            (fun g -> keep (Libs.Service.Canon.of_graph g))
+            (Lazy.force canon_networks)) };
   ]
 
 (* ------------------------------------------------------------------ *)

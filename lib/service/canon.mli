@@ -10,11 +10,23 @@
 
     The ordering is found by colour refinement (1-dimensional
     Weisfeiler–Leman over typed, port-labelled edges) plus
-    individualization on ties, under a global work budget.  When the
-    budget runs out — adversarially symmetric graphs only; every
-    catalogue design canonises exactly — the module falls back to
-    id-order.  The fallback is {e sound}: the digest is always the hash
-    of the rendered form, and equal rendered forms exhibit an
+    individualization on ties: a search tree whose leaves are discrete
+    colourings, of which the one with the smallest rendering wins.  The
+    search prunes automorphic branches as nauty does (McKay & Piperno,
+    {e Practical Graph Isomorphism, II}): two leaves that render equal
+    exhibit an automorphism, and at each branch point only one member
+    per orbit of the recorded automorphisms that fix the branch's
+    individualised prefix is explored; a leaf equal to the first leaf
+    abandons the subtree it shows to be an image of the first path's.
+    Pruned subtrees hold only renderings already seen, so the result is
+    the one full enumeration of the tree gives.
+
+    A budget of 2 000 refinement rounds bounds the work of the whole
+    pruned search; networks over 512 nodes are not searched.  Past
+    either limit the module falls back to id-order.  Every catalogue
+    design and every design of the end-to-end benchmark's corpus
+    canonises exactly.  The fallback is {e sound}: the digest is always
+    the hash of the rendered form, and equal rendered forms exhibit an
     isomorphism position-by-position regardless of how the order was
     chosen.  A fallback can only miss a relabel hit, never corrupt
     one. *)

@@ -113,6 +113,32 @@ let test_multi_shape_pipeline () =
        (Sim.Equiv.check_random ~reference:g
           ~candidate:result.Codegen.Replace.network ~seed:41 ~steps:60))
 
+(* `paredown synth --verify` on random designs whose flat network races
+   (its settled outputs depend on same-time packet order): the
+   whole-network comparison is inconclusive there, so the CLI reports it
+   as race-limited, goes on to per-partition verification and exits 0. *)
+let test_synth_verify_race_limited (seed, inner) () =
+  let g = Randgen.Generator.generate ~rng:(Prng.create seed) ~inner () in
+  let net = Filename.temp_file "paredown_race" ".ebn" in
+  let out = Filename.temp_file "paredown_race" ".txt" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove net;
+      Sys.remove out)
+    (fun () ->
+      Netlist.Textio.write_file net ~name:"race" g;
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/paredown.exe synth %s --verify > %s"
+             (Filename.quote net) (Filename.quote out))
+      in
+      let text = In_channel.with_open_bin out In_channel.input_all in
+      check Alcotest.int "exit status" 0 code;
+      check Alcotest.bool "race-limited line" true
+        (Testlib.contains text "verify: race-limited");
+      check Alcotest.bool "per-partition verification ran" true
+        (Testlib.contains text "verify per partition"))
+
 let () =
   Alcotest.run "integration"
     [
@@ -127,4 +153,12 @@ let () =
             test_file_roundtrip_pipeline;
           Alcotest.test_case "multi-shape" `Quick test_multi_shape_pipeline;
         ] );
+      ( "synth --verify",
+        List.map
+          (fun (seed, inner) ->
+            Alcotest.test_case
+              (Printf.sprintf "race-limited reference %d/%d" seed inner)
+              `Quick
+              (test_synth_verify_race_limited (seed, inner)))
+          [ (2005023, 31); (2005066, 24) ] );
     ]

@@ -218,6 +218,209 @@ let test_canon_relabel_digest () =
         (Service.Canon.digest c'))
     Designs.Library.table1
 
+(* A uniformly random permutation of the node ids, moved to a fresh
+   range, with nodes and edges inserted in shuffled order.  Unlike
+   [relabel] it does not keep the id order that the canonical search
+   explores its branches in. *)
+let shuffle_relabel seed g =
+  let rng = Prng.create seed in
+  let ids = Graph.node_ids g in
+  let map = Hashtbl.create 64 in
+  List.iter2
+    (fun id id' -> Hashtbl.replace map id (id' + 5000))
+    ids (Prng.shuffle rng ids);
+  let g' =
+    List.fold_left
+      (fun acc id ->
+        fst (Graph.add ~id:(Hashtbl.find map id) acc (Graph.descriptor g id)))
+      Graph.empty (Prng.shuffle rng ids)
+  in
+  List.fold_left
+    (fun acc (e : Graph.edge) ->
+      Graph.connect acc
+        ~src:(Hashtbl.find map e.src.node, e.src.port)
+        ~dst:(Hashtbl.find map e.dst.node, e.dst.port))
+    g' (Prng.shuffle rng (Graph.edges g))
+
+(* [k] disjoint copies of [g]: at least k! automorphisms. *)
+let copies k g =
+  let ids = Graph.node_ids g in
+  let stride = 1 + List.fold_left max 0 ids in
+  let copy c acc =
+    let acc =
+      List.fold_left
+        (fun acc id ->
+          fst (Graph.add ~id:(id + (c * stride)) acc (Graph.descriptor g id)))
+        acc ids
+    in
+    List.fold_left
+      (fun acc (e : Graph.edge) ->
+        Graph.connect acc
+          ~src:(e.src.node + (c * stride), e.src.port)
+          ~dst:(e.dst.node + (c * stride), e.dst.port))
+      acc (Graph.edges g)
+  in
+  List.fold_left (fun acc c -> copy c acc) Graph.empty (List.init k Fun.id)
+
+let random_design seed inner =
+  Randgen.Generator.generate ~rng:(Prng.create seed) ~inner ()
+
+(* Disjoint directed rings of NOT gates.  Colour refinement cannot tell
+   a node of one ring from a node of a longer one, so the search's leaves
+   render differently and it must keep the smallest, where on the random
+   designs every leaf renders the same. *)
+let rings lens =
+  let add (g, next) len =
+    let ids = List.init len (fun i -> next + i) in
+    let g =
+      List.fold_left
+        (fun g id -> fst (Graph.add ~id g Eblock.Catalog.not_gate))
+        g ids
+    in
+    let g =
+      List.fold_left
+        (fun g id ->
+          Graph.connect g ~src:(id, 0) ~dst:(next + ((id - next + 1) mod len), 0))
+        g ids
+    in
+    (g, next + len)
+  in
+  fst (List.fold_left add (Graph.empty, 1) lens)
+
+(* Digests are persisted as cache keys (`serve --cache`), so a change to
+   the canonical form silently turns every stored entry into a miss.
+   Recorded before the search pruned automorphic branches; the random
+   designs are two of the benchmark's warm pool. *)
+let golden_table1 =
+  [
+    ("Ignition Illuminator", "b93cb5c483c9b6e2e74f29ab9a1848b2");
+    ("Night Lamp Controller", "4c7cc945e5ff44fc95d8ce09a44798e7");
+    ("Entry Gate Detector", "a2c4b0bb3a41f80cfca23d440d817132");
+    ("Carpool Alert", "261d861f4d5fffe4be06fa58c38fbf61");
+    ("Cafeteria Food Alert", "5751fccee2f8259429054b39fd41bd24");
+    ("Podium Timer 2", "c40b485c90be79168c8ee32a73cd3c79");
+    ("Any Window Open Alarm", "1b9232b595763a8a8834ae3ac4bea74a");
+    ("Two Button Light", "2c166920001cc9361964c4ec7351411a");
+    ("Doorbell Extender 1", "3dcd2071c224293bb61e1343a2867584");
+    ("Doorbell Extender 2", "7b3c49545b597f5137cb572e9a401c18");
+    ("Podium Timer 3", "431fc3000d354a11465d5e3c7879d878");
+    ("Noise At Night Detector", "6c4667d8fe5cbff18443c1337573051c");
+    ("Two-Zone Security", "4a0690d57ab94c7da0b35cd7e1210a9b");
+    ("Motion on Property Alert", "422b7369d7b40d2c5b8eced2098042a1");
+    ("Timed Passage", "9897b41a9206392e1604d83f833c3d78");
+  ]
+
+let golden_random =
+  [
+    (5000003, 81, "51fd5a3da3251246786a795eea81c5f8");
+    (5000010, 120, "decb5d7dbba40aa24dc0fda731df8a9b");
+  ]
+
+(* The smallest leaf of the full search tree: the first set canonised
+   exactly before pruning; the others were recorded by the unpruned
+   search with its refinement budget lifted. *)
+let golden_rings =
+  [
+    ([ 6; 3; 3 ], "02177cb73695c87479f8a7798351da6d");
+    ([ 4; 4; 2; 2; 2 ], "12ea64eba0c1c490d070341acba75c8d");
+    ([ 6; 6; 3; 3; 2 ], "291fee9eabe510dbee98f6927e3870c7");
+    ([ 3; 3; 2; 2; 2; 2 ], "491f6cefc87ed8b85475e4336da7b2b4");
+  ]
+
+let test_canon_golden () =
+  let check_digest what g digest =
+    Alcotest.(check string) what digest
+      (Service.Canon.digest (Service.Canon.of_graph g))
+  in
+  List.iter (fun (name, d) -> check_digest name (find_design name) d) golden_table1;
+  List.iter
+    (fun (seed, inner, d) ->
+      check_digest (Printf.sprintf "random %d/%d" seed inner)
+        (random_design seed inner) d)
+    golden_random;
+  List.iter
+    (fun (lens, d) ->
+      check_digest
+        ("rings " ^ String.concat "," (List.map string_of_int lens))
+        (rings lens) d)
+    golden_rings
+
+(* Networks whose branch search used to exhaust the refinement budget
+   and fall back to id order: disjoint copies of one design, and five
+   random designs of the benchmark's cold traffic.  Their digests are
+   pinned from the first exact canonisation. *)
+let former_fallbacks =
+  [
+    ("8 x Entry Gate Detector",
+     lazy (copies 8 (find_design "Entry Gate Detector")),
+     "9193c66d6c1bf8cbedd4661cb8b2dff9");
+    ("12 x Entry Gate Detector",
+     lazy (copies 12 (find_design "Entry Gate Detector")),
+     "d1d0a228b831405ce0973e3627ff2d17");
+  ]
+  @ List.map
+      (fun (seed, inner, d) ->
+        (Printf.sprintf "random %d/%d" seed inner,
+         lazy (random_design seed inner), d))
+      [
+        (3000236, 107, "48353edb1e4de6d5803b348bb2fb80d2");
+        (3000386, 99, "c5695ef7d86827537fd9e91d2ba7cf3c");
+        (3000430, 84, "30f384043730983617e3b95d812ef28b");
+        (3000587, 120, "673ac3dceea5b15b881c8e67f14e9718");
+        (3000984, 91, "cc7ec7d983e77463c8c918ba7c4b210d");
+      ]
+
+let test_canon_former_fallbacks () =
+  List.iter
+    (fun (what, g, digest) ->
+      let g = Lazy.force g in
+      let c = Service.Canon.of_graph g in
+      Alcotest.(check bool) (what ^ " canonises exactly") true
+        (Service.Canon.exact c);
+      Alcotest.(check string) (what ^ " digest") digest (Service.Canon.digest c);
+      List.iter
+        (fun seed ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s shuffled (%d)" what seed)
+            digest
+            (Service.Canon.digest (Service.Canon.of_graph (shuffle_relabel seed g))))
+        [ 1; 2; 3 ])
+    former_fallbacks
+
+let prop_canon_shuffle_invariant =
+  QCheck.Test.make ~count:100
+    ~name:"digest invariant under random id permutations, exact"
+    (QCheck.make
+       ~print:(fun (inner, seed, perm) ->
+         Printf.sprintf "inner=%d seed=%d perm=%d" inner seed perm)
+       QCheck.Gen.(
+         triple (int_range 8 120) (int_range 0 1_000_000) (int_range 0 1_000_000)))
+    (fun (inner, seed, perm) ->
+      let g = random_design seed inner in
+      let c = Service.Canon.of_graph g in
+      let c' = Service.Canon.of_graph (shuffle_relabel perm g) in
+      Service.Canon.exact c && Service.Canon.exact c'
+      && Service.Canon.digest c = Service.Canon.digest c')
+
+let prop_canon_rings_shuffle_invariant =
+  QCheck.Test.make ~count:200
+    ~name:"ring soups: digest invariant under random id permutations, exact"
+    (QCheck.make
+       ~print:(fun (lens, perm) ->
+         Printf.sprintf "rings=%s perm=%d"
+           (String.concat "," (List.map string_of_int lens))
+           perm)
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 1 5) (int_range 2 6))
+           (int_range 0 1_000_000)))
+    (fun (lens, perm) ->
+      let g = rings lens in
+      let c = Service.Canon.of_graph g in
+      let c' = Service.Canon.of_graph (shuffle_relabel perm g) in
+      Service.Canon.exact c && Service.Canon.exact c'
+      && Service.Canon.digest c = Service.Canon.digest c')
+
 (* ------------------------------------------------------------------ *)
 (* Deadline expiry answers that request and nothing else. *)
 
@@ -358,7 +561,14 @@ let () =
             test_relabel_hits;
           Alcotest.test_case "canonical digest is label-free on Table 1"
             `Quick test_canon_relabel_digest;
-        ] );
+          Alcotest.test_case "canonical digests match the pinned ones" `Quick
+            test_canon_golden;
+          Alcotest.test_case "former fallbacks canonise exactly" `Quick
+            test_canon_former_fallbacks;
+        ]
+        @ Testlib.qtests
+            [ prop_canon_shuffle_invariant; prop_canon_rings_shuffle_invariant ]
+      );
       ( "server",
         [
           Alcotest.test_case "deadline expiry answers, server survives"
