@@ -13,6 +13,13 @@ let m_race_limited =
 let m_checks =
   Obs.Metrics.counter "codegen.cosim.checks"
     ~doc:"per-perturbation script comparisons that agreed"
+let m_reference_runs =
+  Obs.Metrics.counter "codegen.cosim.reference_runs"
+    ~doc:"engine runs of the flat reference network (analysed once per \
+          graph and config, then shared across partitions)"
+let m_candidate_runs =
+  Obs.Metrics.counter "codegen.cosim.candidate_runs"
+    ~doc:"engine runs of rewritten candidate networks"
 let m_shrink_rechecks =
   Obs.Metrics.counter "codegen.cosim.shrink_rechecks"
     ~doc:"candidate scripts re-simulated while shrinking a counterexample"
@@ -115,11 +122,78 @@ let shrink ?seed ~still_fails script =
   in
   fixpoint 1 script
 
-(* --- the differential loop ------------------------------------------- *)
+(* --- scripts ------------------------------------------------------------ *)
 
 let script_seed (config : config) i =
   (* one independent stream per script, stable under config.scripts *)
   config.seed + (7919 * i)
+
+(* --- the reference analysis -------------------------------------------- *)
+
+(* Everything the loop below needs from the flat network depends only on
+   (reference, script, engine setting), and the scripts only on the
+   config and the reference's sensors: one analysis serves every
+   partition of a design.  Per script it keeps the verdict and, for a
+   usable script, the observations under the baseline and each pool
+   perturbation (the slowed-connection runs behind the verdict are not
+   kept). *)
+type reference_script =
+  | Sensitive  (* the flat design is timing-sensitive on the script *)
+  | Usable of Sim.Equiv.observations list  (* baseline :: pool order *)
+
+type analysis = {
+  graph : Graph.t;
+  config : config;
+  analysed : (Sim.Stimulus.script * reference_script) option array;
+      (* per script index, filled on first demand *)
+}
+
+(* One slot per domain, one analysis deep.  [Graph.t] is immutable and
+   the slot holds the graph it describes, so physical equality cannot
+   name a different network; a new graph or config replaces the entry. *)
+let slot : analysis option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let analysis config reference =
+  let slot = Domain.DLS.get slot in
+  match !slot with
+  | Some a when a.graph == reference && a.config = config -> a
+  | Some _ | None ->
+    let a =
+      { graph = reference; config;
+        analysed = Array.make (max 0 config.scripts) None }
+    in
+    slot := Some a;
+    a
+
+let analyse a ~sensors ~engines ~perturbs i =
+  match a.analysed.(i) with
+  | Some entry -> entry
+  | None ->
+    let config = a.config in
+    let script =
+      Sim.Stimulus.random ~rng:(Prng.create (script_seed config i)) ~sensors
+        ~steps:config.steps ~spacing:config.spacing
+    in
+    let memo = Sim.Equiv.Memo.create a.graph script in
+    (* A script the flat design is timing-sensitive on proves nothing
+       about the merge: the reference behaviour itself is undefined.
+       [sensitive_under] keeps the skip-set aligned with the engine pool
+       ([timing_sensitive] samples its own fixed perturbations, which
+       need not include every pool entry, e.g. lifo+jitter). *)
+    let verdict =
+      if
+        Sim.Equiv.Memo.timing_sensitive memo
+        || Sim.Equiv.Memo.sensitive_under memo perturbs
+      then Sensitive
+      else Usable (List.map (Sim.Equiv.Memo.observe memo) engines)
+    in
+    Obs.Metrics.add m_reference_runs (Sim.Equiv.Memo.simulations memo);
+    let entry = (script, verdict) in
+    a.analysed.(i) <- Some entry;
+    entry
+
+(* --- the differential loop ------------------------------------------- *)
 
 let run ?(config = default_config) ~reference candidate =
   Obs.Trace.with_span "codegen.cosim" @@ fun () ->
@@ -128,27 +202,24 @@ let run ?(config = default_config) ~reference candidate =
   else begin
     let perturbs = Sim.Equiv.perturbations config.perturbations in
     let engines = Sim.Equiv.baseline :: perturbs in
+    let a = analysis config reference in
+    (* checked at the first comparison, so a design whose every script
+       is skipped stays Inconclusive whatever the candidate *)
+    let interface =
+      lazy (Sim.Equiv.check_interface ~reference ~candidate)
+    in
     let exception Diverged_on of failure in
     try
       let usable = ref 0 and checks = ref 0 in
       for i = 0 to config.scripts - 1 do
         let seed = script_seed config i in
-        let script =
-          Sim.Stimulus.random ~rng:(Prng.create seed) ~sensors
-            ~steps:config.steps ~spacing:config.spacing
-        in
         Obs.Metrics.incr m_scripts;
-        (* A script the flat design is timing-sensitive on proves nothing
-           about the merge: the reference behaviour itself is undefined.
-           [sensitive_under] keeps the skip-set aligned with the engine
-           pool ([timing_sensitive] samples its own fixed perturbations,
-           which need not include every pool entry, e.g. lifo+jitter). *)
-        if
-          Sim.Equiv.timing_sensitive reference script
-          || Sim.Equiv.sensitive_under reference perturbs script
-        then Obs.Metrics.incr m_skipped
-        else begin
+        let script, verdict = analyse a ~sensors ~engines ~perturbs i in
+        match verdict with
+        | Sensitive -> Obs.Metrics.incr m_skipped
+        | Usable ref_obs ->
           incr usable;
+          let memo = Sim.Equiv.Memo.create candidate script in
           (* Blame assignment before the differential comparison: when the
              candidate's own settled outputs vary across the pool while
              the flat design's do not, the rewrite's different event
@@ -160,31 +231,38 @@ let run ?(config = default_config) ~reference candidate =
              is lost: with a pool-insensitive reference and an agreeing
              baseline, any perturbed divergence implies exactly this
              candidate-side sensitivity. *)
-          let engines =
-            if Sim.Equiv.sensitive_under candidate perturbs script then begin
+          let compared =
+            if Sim.Equiv.Memo.sensitive_under memo perturbs then begin
               Obs.Metrics.incr m_race_limited;
-              [ Sim.Equiv.baseline ]
+              [ (Sim.Equiv.baseline, List.hd ref_obs) ]
             end
-            else engines
+            else List.combine engines ref_obs
           in
           List.iter
-            (fun perturbation ->
-              match Sim.Equiv.check ~perturbation ~reference ~candidate script with
+            (fun (perturbation, ref_obs) ->
+              Lazy.force interface;
+              match
+                Sim.Equiv.first_mismatch ~reference:ref_obs
+                  ~candidate:(Sim.Equiv.Memo.observe memo perturbation)
+              with
               | Ok () ->
                 incr checks;
                 Obs.Metrics.incr m_checks
               | Error _ ->
+                Obs.Metrics.add m_candidate_runs
+                  (Sim.Equiv.Memo.simulations memo);
+                let recheck s =
+                  Obs.Metrics.incr m_reference_runs;
+                  Obs.Metrics.incr m_candidate_runs;
+                  Sim.Equiv.check ~perturbation ~reference ~candidate s
+                in
                 let still_fails s =
                   Obs.Metrics.incr m_shrink_rechecks;
-                  s <> []
-                  && Result.is_error
-                       (Sim.Equiv.check ~perturbation ~reference ~candidate s)
+                  s <> [] && Result.is_error (recheck s)
                 in
                 let script = shrink ~seed ~still_fails script in
                 let mismatch =
-                  match
-                    Sim.Equiv.check ~perturbation ~reference ~candidate script
-                  with
+                  match recheck script with
                   | Error m -> m
                   | Ok () -> assert false  (* shrink keeps scripts failing *)
                 in
@@ -199,8 +277,8 @@ let run ?(config = default_config) ~reference candidate =
                        original_steps = config.steps;
                        mismatch;
                      }))
-            engines
-        end
+            compared;
+          Obs.Metrics.add m_candidate_runs (Sim.Equiv.Memo.simulations memo)
       done;
       if !usable = 0 then
         Inconclusive

@@ -125,6 +125,21 @@ let canon_networks =
     [ random_design ~seed:5_000_003 ~inner:81;
       random_design ~seed:3_000_236 ~inner:107 ]
 
+(* Two corpus designs with six tier-3 partitions each, kept as netlist
+   text: the verify group parses them inside its timed region, because
+   co-simulation shares its flat-reference analysis per physical graph
+   and a graph shared across [record]'s repeats would time that
+   analysis only once.  Two designs, so that analysing the reference
+   once per partition again grows codegen.cosim.reference_runs past
+   the perf gate's absolute floor of 1000. *)
+let verify_designs =
+  lazy
+    (List.map
+       (fun (seed, inner) ->
+         let g = random_design ~seed ~inner in
+         (Netlist.Textio.to_string g, paredown_solution g))
+       [ (2_005_068, 26); (2_005_071, 29) ])
+
 let groups =
   [
     { name = "kernel";
@@ -297,6 +312,17 @@ let groups =
               keep (Libs.Service.Server.run ic oc);
               close_in ic;
               close_out oc)) };
+    { name = "verify";
+      doc = "three-tier verification of every partition of two random \
+             designs (26 and 29 inner, 6 co-simulated partitions each), \
+             parsed fresh each run";
+      run =
+        (fun () ->
+          List.iter
+            (fun (text, solution) ->
+              let g = snd (Netlist.Textio.of_string text) in
+              keep (Codegen.Verify.check_solution g solution))
+            (Lazy.force verify_designs)) };
     { name = "canon";
       doc = "canonical fingerprints of two random designs (81 and 107 \
              inner blocks) with large automorphism groups: the key every \

@@ -70,56 +70,91 @@ let str_field name j = Option.bind (Json.member name j) Json.to_str
 
 let num_field name j = Option.bind (Json.member name j) Json.to_float
 
-let int_field name j = Option.map int_of_float (num_field name j)
+(* A whole-number field, [default] when absent.  A present value must be
+   finite, integral and inside the [int] range (and at least 1 when
+   [positive]); anything else is the reason the request is rejected,
+   never a silent truncation. *)
+let int_field ?(positive = false) name ~default j =
+  match Json.member name j with
+  | None -> Ok default
+  | Some v -> (
+    match Json.to_float v with
+    | None -> Ok default
+    | Some f ->
+      if
+        Float.is_integer f
+        && f >= Float.of_int min_int
+        && f < -.Float.of_int min_int
+        && ((not positive) || f >= 1.)
+      then Ok (int_of_float f)
+      else
+        Error
+          (Printf.sprintf "%s must be %s, got %.12g" name
+             (if positive then "a positive integer"
+              else "an integer in the int range")
+             f))
+
+let arity name j = int_field ~positive:true name ~default:2 j
+
+let ( let* ) = Result.bind
 
 let parse_request json =
   match Json.of_string json with
   | Error e -> Invalid { id = "?"; reason = "bad JSON: " ^ e }
   | Ok j -> (
     let id = Option.value (str_field "id" j) ~default:"?" in
+    let request = function
+      | Ok r -> Request r
+      | Error reason -> Invalid { id; reason }
+    in
     match Option.value (str_field "op" j) ~default:"partition" with
     | "drain" -> Drain
-    | "partition" -> (
-      let backend_name =
-        Option.value (str_field "backend" j) ~default:"paredown"
-      in
-      match Oneshot.backend_of_string backend_name with
-      | Error e -> Invalid { id; reason = e }
-      | Ok backend ->
-        Request
-          {
-            id;
-            op = Partition { backend; deadline_s = num_field "deadline_s" j };
-            design = str_field "design" j;
-            design_text = str_field "design_text" j;
-            inputs = Option.value (int_field "inputs" j) ~default:2;
-            outputs = Option.value (int_field "outputs" j) ~default:2;
-          })
-    | "weighted" -> (
-      let family_name =
-        Option.value (str_field "family" j) ~default:"brownout:0.3@40,110,180"
-      in
-      match Reliability.Family.of_string family_name with
-      | Error e -> Invalid { id; reason = e }
-      | Ok family ->
-        Request
-          {
-            id;
-            op =
-              Weighted
-                {
-                  lambda = Option.value (num_field "lambda" j) ~default:1.0;
-                  family;
-                  trials =
-                    Option.value (int_field "trials" j)
-                      ~default:default_trials;
-                  seed = Option.value (int_field "seed" j) ~default:default_seed;
-                };
-            design = str_field "design" j;
-            design_text = str_field "design_text" j;
-            inputs = Option.value (int_field "inputs" j) ~default:2;
-            outputs = Option.value (int_field "outputs" j) ~default:2;
-          })
+    | "partition" ->
+      request
+        (let* backend =
+           Oneshot.backend_of_string
+             (Option.value (str_field "backend" j) ~default:"paredown")
+         in
+         let* inputs = arity "inputs" j in
+         let* outputs = arity "outputs" j in
+         Ok
+           {
+             id;
+             op = Partition { backend; deadline_s = num_field "deadline_s" j };
+             design = str_field "design" j;
+             design_text = str_field "design_text" j;
+             inputs;
+             outputs;
+           })
+    | "weighted" ->
+      request
+        (let* family =
+           Reliability.Family.of_string
+             (Option.value (str_field "family" j)
+                ~default:"brownout:0.3@40,110,180")
+         in
+         let* trials =
+           int_field ~positive:true "trials" ~default:default_trials j
+         in
+         let* seed = int_field "seed" ~default:default_seed j in
+         let* inputs = arity "inputs" j in
+         let* outputs = arity "outputs" j in
+         Ok
+           {
+             id;
+             op =
+               Weighted
+                 {
+                   lambda = Option.value (num_field "lambda" j) ~default:1.0;
+                   family;
+                   trials;
+                   seed;
+                 };
+             design = str_field "design" j;
+             design_text = str_field "design_text" j;
+             inputs;
+             outputs;
+           })
     | other -> Invalid { id; reason = Printf.sprintf "unknown op %S" other })
 
 let render_request r =

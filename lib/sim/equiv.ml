@@ -45,25 +45,102 @@ let perturbations n =
   in
   List.filteri (fun i _ -> i < n) pool
 
-let observe ?(perturbation = baseline) g script =
-  let edge_delay =
-    Option.map (fun salt -> jittered_delay salt) perturbation.delay_salt
-  in
-  let engine =
-    Engine.create ~tie_order:perturbation.tie_order ?edge_delay g
-  in
-  Stimulus.settled_outputs engine script
+type observations = (int * (Node_id.t * Behavior.Ast.value) list) list
 
-let check ?perturbation ~reference ~candidate script =
+(* An engine setting as data: a same-time event order and a
+   per-connection latency assignment.  Equal settings give equal
+   observations of one network under one script, which is what lets
+   [Memo] simulate each distinct setting once. *)
+type delay =
+  | Unit_delay
+  | Jitter of int  (* [jittered_delay salt] on every connection *)
+  | Slow_edge of Graph.edge  (* one connection outlasts every other path *)
+
+type setting = Engine.tie_order * delay
+
+let setting_of p =
+  ( p.tie_order,
+    match p.delay_salt with None -> Unit_delay | Some salt -> Jitter salt )
+
+let simulate g script ((tie_order, delay) : setting) =
+  let edge_delay =
+    match delay with
+    | Unit_delay -> None
+    | Jitter salt -> Some (jittered_delay salt)
+    | Slow_edge target ->
+      (* slow enough to outlast every alternative path *)
+      let slow = Graph.node_count g + 2 in
+      Some (fun e -> if e = target then slow else 1)
+  in
+  Stimulus.settled_outputs (Engine.create ~tie_order ?edge_delay g) script
+
+module Memo = struct
+  type t = {
+    graph : Graph.t;
+    script : Stimulus.script;
+    seen : (setting, observations) Hashtbl.t;
+    mutable simulations : int;
+  }
+
+  let create graph script =
+    { graph; script; seen = Hashtbl.create 16; simulations = 0 }
+
+  let simulations t = t.simulations
+
+  let run t setting =
+    t.simulations <- t.simulations + 1;
+    simulate t.graph t.script setting
+
+  let observe_setting t setting =
+    match Hashtbl.find_opt t.seen setting with
+    | Some obs -> obs
+    | None ->
+      let obs = run t setting in
+      Hashtbl.add t.seen setting obs;
+      obs
+
+  let observe t p = observe_setting t (setting_of p)
+
+  let differs t setting =
+    observe_setting t setting <> observe_setting t (setting_of baseline)
+
+  let sensitive_under t perturbs =
+    List.exists (fun p -> differs t (setting_of p)) perturbs
+
+  let race_sensitive t =
+    List.exists
+      (fun order -> differs t (order, Unit_delay))
+      [ Engine.Lifo; Engine.Shuffled 1; Engine.Shuffled 2; Engine.Shuffled 3 ]
+
+  let timing_sensitive t =
+    (* Slowing any single connection enough to outlast every alternative
+       path deterministically flips each two-path hazard ordering at
+       least once; the jittered assignments additionally sample combined
+       perturbations.  Each slow-edge setting is consulted exactly once,
+       so its observations are compared and dropped, not kept. *)
+    let reference = observe_setting t (setting_of baseline) in
+    List.exists
+      (fun target -> run t (Engine.Fifo, Slow_edge target) <> reference)
+      (Graph.edges t.graph)
+    || List.exists
+         (fun salt -> differs t (Engine.Fifo, Jitter salt))
+         [ 1; 2; 3; 4 ]
+    || race_sensitive t
+end
+
+let observe ?(perturbation = baseline) g script =
+  simulate g script (setting_of perturbation)
+
+let check_interface ~reference ~candidate =
   if not (same_ids (Graph.sensors reference) (Graph.sensors candidate)) then
     invalid_arg "Equiv.check: sensor sets differ";
   if not
        (same_ids
           (Graph.primary_outputs reference)
           (Graph.primary_outputs candidate))
-  then invalid_arg "Equiv.check: primary output sets differ";
-  let ref_obs = observe ?perturbation reference script in
-  let cand_obs = observe ?perturbation candidate script in
+  then invalid_arg "Equiv.check: primary output sets differ"
+
+let first_mismatch ~reference ~candidate =
   let compare_point acc (time, ref_outputs) (_, cand_outputs) =
     match acc with
     | Error _ -> acc
@@ -82,7 +159,13 @@ let check ?perturbation ~reference ~candidate script =
       in
       compare_outputs ref_outputs cand_outputs
   in
-  List.fold_left2 compare_point (Ok ()) ref_obs cand_obs
+  List.fold_left2 compare_point (Ok ()) reference candidate
+
+let check ?perturbation ~reference ~candidate script =
+  check_interface ~reference ~candidate;
+  let ref_obs = observe ?perturbation reference script in
+  let cand_obs = observe ?perturbation candidate script in
+  first_mismatch ~reference:ref_obs ~candidate:cand_obs
 
 let random_script g ~seed ~steps =
   let rng = Prng.create seed in
@@ -91,40 +174,15 @@ let random_script g ~seed ~steps =
 let check_random ~reference ~candidate ~seed ~steps =
   check ~reference ~candidate (random_script reference ~seed ~steps)
 
-let race_sensitive g script =
-  let observe tie_order =
-    Stimulus.settled_outputs (Engine.create ~tie_order g) script
-  in
-  let reference = observe Engine.Fifo in
-  List.exists
-    (fun order -> observe order <> reference)
-    [ Engine.Lifo; Engine.Shuffled 1; Engine.Shuffled 2; Engine.Shuffled 3 ]
+let race_sensitive g script = Memo.race_sensitive (Memo.create g script)
 
 let race_sensitive_random g ~seed ~steps =
   race_sensitive g (random_script g ~seed ~steps)
 
 let sensitive_under g perturbs script =
-  let reference = observe g script in
-  List.exists (fun p -> observe ~perturbation:p g script <> reference) perturbs
+  Memo.sensitive_under (Memo.create g script) perturbs
 
-let timing_sensitive g script =
-  let observe ?tie_order ?edge_delay () =
-    Stimulus.settled_outputs (Engine.create ?tie_order ?edge_delay g) script
-  in
-  let reference = observe () in
-  (* Slowing any single connection enough to outlast every alternative
-     path deterministically flips each two-path hazard ordering at least
-     once; the jittered assignments additionally sample combined
-     perturbations. *)
-  let slow = Graph.node_count g + 2 in
-  let slow_one target (e : Graph.edge) = if e = target then slow else 1 in
-  List.exists
-    (fun target -> observe ~edge_delay:(slow_one target) () <> reference)
-    (Graph.edges g)
-  || List.exists
-       (fun salt -> observe ~edge_delay:(jittered_delay salt) () <> reference)
-       [ 1; 2; 3; 4 ]
-  || race_sensitive g script
+let timing_sensitive g script = Memo.timing_sensitive (Memo.create g script)
 
 let timing_sensitive_random g ~seed ~steps =
   timing_sensitive g (random_script g ~seed ~steps)

@@ -46,13 +46,55 @@ val perturbations : int -> perturbation list
     (alternating tie orders and jitter salts, capped at the pool size of
     8).  Deterministic: equal [n] gives equal lists. *)
 
+type observations = (int * (Node_id.t * Behavior.Ast.value) list) list
+(** Settled primary outputs after each script step
+    ({!Stimulus.settled_outputs}). *)
+
 val observe :
-  ?perturbation:perturbation ->
-  Graph.t ->
-  Stimulus.script ->
-  (int * (Node_id.t * Behavior.Ast.value) list) list
+  ?perturbation:perturbation -> Graph.t -> Stimulus.script -> observations
 (** The settled primary-output observations of one network under one
-    script ({!Stimulus.settled_outputs}) with the perturbation applied. *)
+    script with the perturbation applied. *)
+
+(** One network under one script, simulated at most once per engine
+    setting.
+
+    An engine setting is data: a same-time tie order plus a latency
+    assignment (unit, a jitter salt, or one slowed connection).  Equal
+    settings give equal observations, so every sensitivity test and
+    comparison below shares one simulation per distinct setting: a
+    timing-insensitive verdict costs |E|+9 runs (|E| single slowed
+    connections, the baseline, four jitter salts, lifo and three
+    shuffles), and any pool perturbation the verdict already ran is
+    free afterwards.  Slowed-connection observations are compared once
+    and not kept. *)
+module Memo : sig
+  type t
+
+  val create : Graph.t -> Stimulus.script -> t
+  (** Nothing is simulated until asked for. *)
+
+  val observe : t -> perturbation -> observations
+  (** {!Equiv.observe}, simulated on first demand only. *)
+
+  val sensitive_under : t -> perturbation list -> bool
+  (** {!Equiv.sensitive_under}. *)
+
+  val timing_sensitive : t -> bool
+  (** {!Equiv.timing_sensitive}. *)
+
+  val simulations : t -> int
+  (** Engine runs made so far. *)
+end
+
+val check_interface : reference:Graph.t -> candidate:Graph.t -> unit
+(** Raises [Invalid_argument] unless the two networks have identical
+    sensor and primary-output id sets. *)
+
+val first_mismatch :
+  reference:observations -> candidate:observations -> (unit, mismatch) result
+(** The first diverging settled output of two observation sequences of
+    one script, in step then output order.  Raises [Invalid_argument] on
+    an output arity mismatch. *)
 
 val sensitive_under :
   Graph.t -> perturbation list -> Stimulus.script -> bool
@@ -67,9 +109,10 @@ val check :
   Stimulus.script ->
   (unit, mismatch) result
 (** Run the script against both networks (under the same optional
-    perturbation), comparing settled outputs after each step.  Raises
-    [Invalid_argument] if the two networks do not have identical sensor
-    and primary-output id sets. *)
+    perturbation), comparing settled outputs after each step
+    ({!first_mismatch}).  Raises [Invalid_argument] if the two networks
+    do not have identical sensor and primary-output id sets
+    ({!check_interface}). *)
 
 val check_random :
   reference:Graph.t ->

@@ -7,7 +7,7 @@ let expected_groups =
     "ablation"; "codegen"; "sim"; "faults"; "reliability"; "power";
     "frontend";
     "journal"; "sim_kernel"; "sim_kernel_interp"; "telemetry";
-    "service"; "canon" ]
+    "service"; "verify"; "canon" ]
 
 let test_group_inventory () =
   let names = List.map (fun g -> g.Experiments.Perf.name)

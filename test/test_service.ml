@@ -472,6 +472,63 @@ let test_backpressure () =
     "queue full (capacity 3)" last.P.output
 
 (* ------------------------------------------------------------------ *)
+(* Numeric request fields are admitted whole or rejected with a reason
+   naming the field: never truncated (2.7 trials ran as 2), wrapped
+   (a 1e300 seed) or misreported (1e300 inputs surfaced as "arities
+   must be positive", -5 trials as an internal error). *)
+
+let weighted_frame fields =
+  Printf.sprintf
+    {|{"id":"n","op":"weighted","design":"Entry Gate Detector",%s}|} fields
+
+let test_numeric_fields_admission () =
+  let rejected =
+    [ (weighted_frame {|"trials": 2.7|}, "trials");
+      (weighted_frame {|"trials": -5|}, "trials");
+      (weighted_frame {|"trials": 0|}, "trials");
+      (weighted_frame {|"trials": 1e300|}, "trials");
+      (weighted_frame {|"trials": 1e999|}, "trials");
+      (weighted_frame {|"seed": 1e300|}, "seed");
+      (weighted_frame {|"seed": 0.5|}, "seed");
+      (weighted_frame {|"seed": -1e999|}, "seed");
+      (weighted_frame {|"inputs": 1e300|}, "inputs");
+      (weighted_frame {|"outputs": 1.5|}, "outputs");
+      (weighted_frame {|"outputs": -2|}, "outputs");
+      ({|{"id":"n","design":"Podium Timer 3","inputs": 2.5}|}, "inputs");
+      ({|{"id":"n","design":"Podium Timer 3","outputs": 0}|}, "outputs");
+      ({|{"id":"n","design":"Podium Timer 3","inputs": 1e19}|}, "inputs") ]
+  in
+  List.iter
+    (fun (frame, field) ->
+      match P.parse_request frame with
+      | P.Invalid { id; reason } ->
+        Alcotest.(check string) (frame ^ ": id kept") "n" id;
+        Alcotest.(check bool)
+          (frame ^ ": reason names " ^ field) true
+          (String.length reason > String.length field
+           && String.sub reason 0 (String.length field + 1) = field ^ " ")
+      | P.Request _ | P.Drain -> Alcotest.failf "%s was admitted" frame)
+    rejected;
+  (match P.parse_request (weighted_frame {|"trials": 3, "seed": -3|}) with
+   | P.Request { P.op = P.Weighted { trials; seed; _ }; _ } ->
+     Alcotest.(check (pair int int)) "whole values admitted" (3, -3)
+       (trials, seed)
+   | _ -> Alcotest.fail "valid weighted request not admitted");
+  (* served: rejected with the reason, batch-mates unaffected *)
+  let _, out =
+    serve
+      [ weighted_frame {|"trials": 2.7|};
+        weighted_frame {|"trials": -5|};
+        weighted_frame {|"trials": 3|};
+        P.drain_frame ]
+  in
+  let rs = responses out in
+  Alcotest.(check (list string)) "statuses"
+    [ "rejected"; "rejected"; "ok" ] (List.map status_of rs);
+  Alcotest.(check string) "reason"
+    "trials must be a positive integer, got 2.7" (List.hd rs).P.output
+
+(* ------------------------------------------------------------------ *)
 (* Byte-identity against the one-shot path, on every Table 1 design and
    both fast backends. *)
 
@@ -575,6 +632,8 @@ let () =
             `Quick test_deadline_expiry_survives;
           Alcotest.test_case "bounded queue rejects with reason" `Quick
             test_backpressure;
+          Alcotest.test_case "numeric fields admitted whole or rejected"
+            `Quick test_numeric_fields_admission;
           Alcotest.test_case "errors are per-request" `Quick
             test_error_isolated;
         ] );

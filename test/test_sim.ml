@@ -450,6 +450,75 @@ let prop_network_equivalent_to_itself =
       | Ok () -> true
       | Error _ -> false)
 
+(* The closure-per-run sensitivity tests Equiv.Memo replaced, kept as
+   the oracle its shared, once-per-setting simulations must agree with:
+   every call builds and runs its own engines. *)
+module Oracle = struct
+  let observe ?tie_order ?edge_delay g script =
+    Sim.Stimulus.settled_outputs (Sim.Engine.create ?tie_order ?edge_delay g)
+      script
+
+  let jitter salt (e : Graph.edge) =
+    1 + (Hashtbl.hash (salt, e.Graph.src, e.Graph.dst) land 3)
+
+  let under (p : Sim.Equiv.perturbation) g script =
+    observe ~tie_order:p.Sim.Equiv.tie_order
+      ?edge_delay:(Option.map jitter p.Sim.Equiv.delay_salt)
+      g script
+
+  let race_sensitive g script =
+    let reference = observe ~tie_order:Sim.Engine.Fifo g script in
+    List.exists
+      (fun tie_order -> observe ~tie_order g script <> reference)
+      Sim.Engine.[ Lifo; Shuffled 1; Shuffled 2; Shuffled 3 ]
+
+  let timing_sensitive g script =
+    let reference = observe g script in
+    let slow = Graph.node_count g + 2 in
+    List.exists
+      (fun target ->
+        observe ~edge_delay:(fun e -> if e = target then slow else 1) g script
+        <> reference)
+      (Graph.edges g)
+    || List.exists
+         (fun salt -> observe ~edge_delay:(jitter salt) g script <> reference)
+         [ 1; 2; 3; 4 ]
+    || race_sensitive g script
+
+  let sensitive_under g perturbs script =
+    let reference = observe g script in
+    List.exists (fun p -> under p g script <> reference) perturbs
+end
+
+let prop_memo_matches_oracle =
+  (* one Memo answers every question in a scrambled order, so later
+     answers come from observations earlier ones made *)
+  QCheck.Test.make ~name:"Equiv.Memo agrees with per-run simulation"
+    ~count:40 (Testlib.network_arbitrary ~max_inner:14 ())
+    (fun (_, seed, g) ->
+      let script =
+        Sim.Stimulus.random ~rng:(Prng.create seed)
+          ~sensors:(Graph.sensors g) ~steps:12 ~spacing:10
+      in
+      let pool = Sim.Equiv.perturbations 8 in
+      let memo = Sim.Equiv.Memo.create g script in
+      let sensitive_ok ps =
+        Sim.Equiv.Memo.sensitive_under memo ps
+        = Oracle.sensitive_under g ps script
+      in
+      let observed_ok p =
+        Sim.Equiv.Memo.observe memo p = Oracle.under p g script
+      in
+      sensitive_ok (List.rev pool)
+      && List.for_all observed_ok (List.rev pool)
+      && Sim.Equiv.Memo.timing_sensitive memo
+         = Oracle.timing_sensitive g script
+      && Sim.Equiv.race_sensitive g script = Oracle.race_sensitive g script
+      && List.for_all observed_ok (Sim.Equiv.baseline :: pool)
+      && sensitive_ok pool
+      && Sim.Equiv.timing_sensitive g script
+         = Oracle.timing_sensitive g script)
+
 let () =
   Alcotest.run "sim"
     [
@@ -520,5 +589,6 @@ let () =
         ] );
       ( "properties",
         Testlib.qtests
-          [ prop_simulation_deterministic; prop_network_equivalent_to_itself ] );
+          [ prop_simulation_deterministic; prop_network_equivalent_to_itself;
+            prop_memo_matches_oracle ] );
     ]

@@ -269,6 +269,294 @@ let prop_random_solutions_never_fail =
       let sol = (Core.Paredown.run g).Core.Paredown.solution in
       Codegen.Verify.ok (Codegen.Verify.check_solution g sol))
 
+(* --- golden reports and the shared reference analysis -------------------- *)
+
+(* Co-simulation analyses the flat reference once per (graph, config)
+   and shares it across partitions.  These reports and counter deltas
+   were recorded before that sharing existed, so any verdict, detail or
+   count it changed shows here.  Designs: Table 1, the four perfbench
+   corpus designs with the most tier-3 partitions, two fuzz designs
+   with skipped partitions and the latent-race design (race-limited
+   scripts). *)
+
+let count entries name =
+  match List.find_opt (fun e -> e.Obs.Metrics.name = name) entries with
+  | Some { Obs.Metrics.value = Obs.Metrics.Count n; _ } -> n
+  | Some _ | None -> 0
+
+let cosim_counts entries =
+  let c name = count entries ("codegen.cosim." ^ name) in
+  (c "scripts", c "scripts_skipped", c "race_limited_scripts", c "checks")
+
+let random_design seed inner =
+  ( Printf.sprintf "randgen %d/%d" seed inner,
+    Randgen.Generator.generate ~rng:(Prng.create seed) ~inner () )
+
+let golden_designs () =
+  List.map
+    (fun d -> (d.Designs.Design.name, d.Designs.Design.network))
+    Designs.Library.table1
+  @ [ random_design 2005021 29; random_design 2005068 26;
+      random_design 2005071 29; random_design 2005072 30;
+      random_design 2035 14; random_design 2089 13; random_design 2027 6 ]
+
+(* name, (scripts, scripts_skipped, race_limited_scripts, checks), report *)
+let golden_reports =
+  [
+    ( "Ignition Illuminator",
+      (0, 0, 0, 0),
+      {|partition 0 {3, 4}: equivalent (proven exhaustively)
+1 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Night Lamp Controller",
+      (0, 0, 0, 0),
+      {|partition 0 {3, 4}: equivalent (proven exhaustively)
+1 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Entry Gate Detector",
+      (0, 0, 0, 0),
+      {|partition 0 {2, 3}: equivalent over the full product state space (3 state(s), input sequences up to length 2)
+0 proven, 1 bounded, 0 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Carpool Alert",
+      (3, 0, 0, 15),
+      {|partition 0 {2, 3}: differential co-simulation agreed (3 script(s), 15 check(s))
+0 proven, 0 bounded, 1 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Cafeteria Food Alert",
+      (3, 0, 0, 15),
+      {|partition 0 {3, 4, 5}: differential co-simulation agreed (3 script(s), 15 check(s))
+0 proven, 0 bounded, 1 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Podium Timer 2",
+      (3, 0, 0, 15),
+      {|partition 0 {2, 3, 4}: differential co-simulation agreed (3 script(s), 15 check(s))
+0 proven, 0 bounded, 1 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Any Window Open Alarm",
+      (0, 0, 0, 0),
+      {|0 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Two Button Light",
+      (0, 0, 0, 0),
+      {|0 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Doorbell Extender 1",
+      (0, 0, 0, 0),
+      {|0 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Doorbell Extender 2",
+      (0, 0, 0, 0),
+      {|0 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Podium Timer 3",
+      (6, 0, 0, 30),
+      {|partition 0 {2, 3, 4, 5}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 1 {6, 8, 9}: differential co-simulation agreed (3 script(s), 15 check(s))
+0 proven, 0 bounded, 2 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Noise At Night Detector",
+      (9, 0, 0, 45),
+      {|partition 0 {9, 10}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 1 {5, 6}: equivalent (proven exhaustively)
+partition 2 {13, 14}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 3 {11, 12}: differential co-simulation agreed (3 script(s), 15 check(s))
+1 proven, 0 bounded, 3 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Two-Zone Security",
+      (9, 0, 0, 45),
+      {|partition 0 {13, 14, 15}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 1 {20, 21, 22, 23}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 2 {26, 27, 28, 29}: differential co-simulation agreed (3 script(s), 15 check(s))
+0 proven, 0 bounded, 3 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Motion on Property Alert",
+      (0, 0, 0, 0),
+      {|0 proven, 0 bounded, 0 cosim-passed, 0 failed, 0 skipped|} );
+    ( "Timed Passage",
+      (9, 0, 0, 45),
+      {|partition 0 {9, 10, 15, 16}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 1 {21, 22, 23, 24}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 2 {25, 26}: equivalent (proven exhaustively)
+partition 3 {11, 12}: differential co-simulation agreed (3 script(s), 15 check(s))
+1 proven, 0 bounded, 3 cosim-passed, 0 failed, 0 skipped|} );
+    ( "randgen 2005021/29",
+      (15, 0, 0, 75),
+      {|partition 0 {11, 16, 17, 29}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 1 {3, 10}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 2 {15, 23}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 3 {26, 28}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 4 {35, 38}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 5 {40, 46}: equivalent over the full product state space (4 state(s), input sequences up to length 1)
+0 proven, 1 bounded, 5 cosim-passed, 0 failed, 0 skipped|} );
+    ( "randgen 2005068/26",
+      (18, 0, 0, 90),
+      {|partition 0 {23, 24, 40}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 1 {2, 18}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 2 {10, 19}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 3 {4, 6}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 4 {30, 32}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 5 {34, 39}: differential co-simulation agreed (3 script(s), 15 check(s))
+0 proven, 0 bounded, 6 cosim-passed, 0 failed, 0 skipped|} );
+    ( "randgen 2005071/29",
+      (18, 0, 0, 90),
+      {|partition 0 {10, 14, 33, 36}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 1 {7, 8, 26, 37}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 2 {6, 25}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 3 {21, 39}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 4 {32, 41}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 5 {3, 20}: equivalent (proven exhaustively)
+partition 6 {23, 35}: differential co-simulation agreed (3 script(s), 15 check(s))
+1 proven, 0 bounded, 6 cosim-passed, 0 failed, 0 skipped|} );
+    ( "randgen 2005072/30",
+      (15, 0, 0, 75),
+      {|partition 0 {4, 18, 31}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 1 {41, 47}: equivalent (proven exhaustively)
+partition 2 {8, 16}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 3 {5, 23}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 4 {22, 46}: equivalent (proven exhaustively)
+partition 5 {9, 29}: equivalent (proven exhaustively)
+partition 6 {30, 33}: differential co-simulation agreed (3 script(s), 15 check(s))
+partition 7 {37, 39}: differential co-simulation agreed (3 script(s), 15 check(s))
+3 proven, 0 bounded, 5 cosim-passed, 0 failed, 0 skipped|} );
+    ( "randgen 2035/14",
+      (12, 12, 0, 0),
+      {|partition 0 {3, 7, 8}: skipped: every stimulus script was timing-sensitive on the flat design
+partition 1 {11, 19}: skipped: every stimulus script was timing-sensitive on the flat design
+partition 2 {12, 16}: skipped: every stimulus script was timing-sensitive on the flat design
+partition 3 {9, 18}: skipped: every stimulus script was timing-sensitive on the flat design
+0 proven, 0 bounded, 0 cosim-passed, 0 failed, 4 skipped|} );
+    ( "randgen 2089/13",
+      (3, 3, 0, 0),
+      {|partition 0 {2, 12}: equivalent (proven exhaustively)
+partition 1 {19, 21}: equivalent over the full product state space (3 state(s), input sequences up to length 1)
+partition 2 {11, 15}: skipped: every stimulus script was timing-sensitive on the flat design
+1 proven, 1 bounded, 0 cosim-passed, 0 failed, 1 skipped|} );
+    ( "randgen 2027/6",
+      (6, 0, 3, 18),
+      {|partition 0 {2, 5, 9}: differential co-simulation agreed (3 script(s), 3 check(s))
+partition 1 {7, 8}: differential co-simulation agreed (3 script(s), 15 check(s))
+0 proven, 0 bounded, 2 cosim-passed, 0 failed, 0 skipped|} );
+  ]
+
+let solution_report g =
+  let sol = (Core.Paredown.run g).Core.Paredown.solution in
+  Obs.Metrics.with_scope (fun () -> Codegen.Verify.check_solution g sol)
+
+let test_golden_reports () =
+  let designs = golden_designs () in
+  check Alcotest.int "one golden report per design" (List.length designs)
+    (List.length golden_reports);
+  List.iter2
+    (fun (name, g) (golden_name, counts, text) ->
+      check Alcotest.string "design order" golden_name name;
+      let report, entries = solution_report g in
+      check Alcotest.string (name ^ ": report") text
+        (Format.asprintf "%a" Codegen.Verify.pp_report report);
+      check
+        Alcotest.(pair (pair int int) (pair int int))
+        (name ^ ": cosim counters")
+        (let a, b, c, d = counts in ((a, b), (c, d)))
+        (let a, b, c, d = cosim_counts entries in ((a, b), (c, d))))
+    designs golden_reports
+
+(* Verifying any other graph replaces the one-entry analysis slot, so
+   the next verification of [podium] starts cold. *)
+let evict_analysis () =
+  let reference, candidate = gate_pair Catalog.and2 Catalog.and2 in
+  ignore (Codegen.Cosim.run ~reference candidate)
+
+let test_run_counters () =
+  (* Podium Timer 3: two tier-3 partitions, 3 usable scripts each.  The
+     reference costs |E|+9 engine runs per script once for the whole
+     solution; each candidate costs 5 per script (baseline + 4 pool). *)
+  evict_analysis ();
+  let _, entries = solution_report podium in
+  let edges = List.length (Graph.edges podium) in
+  check Alcotest.int "reference runs" (3 * (edges + 9))
+    (count entries "codegen.cosim.reference_runs");
+  check Alcotest.int "candidate runs" (2 * 3 * 5)
+    (count entries "codegen.cosim.candidate_runs");
+  (* a second pass over the same physical graph reuses the analysis *)
+  let _, again = solution_report podium in
+  check Alcotest.int "warm reference runs" 0
+    (count again "codegen.cosim.reference_runs");
+  check Alcotest.int "warm candidate runs" (2 * 3 * 5)
+    (count again "codegen.cosim.candidate_runs")
+
+let test_config_change_misses_slot () =
+  (* same physical graph, different seed: different scripts, so the
+     analysis must be rebuilt, and the verdict must match a cold run *)
+  let reference, candidate = gate_pair Catalog.and2 Catalog.and2 in
+  let reseeded =
+    { Codegen.Cosim.default_config with Codegen.Cosim.seed = 77 }
+  in
+  let run config =
+    Obs.Metrics.with_scope (fun () ->
+        Codegen.Cosim.run ~config ~reference candidate)
+  in
+  let reference_runs entries = count entries "codegen.cosim.reference_runs" in
+  evict_analysis ();
+  let first, cold_entries = run Codegen.Cosim.default_config in
+  check Alcotest.bool "first run analyses the reference" true
+    (reference_runs cold_entries > 0);
+  let again, hit = run Codegen.Cosim.default_config in
+  check Alcotest.int "same config reuses the analysis" 0 (reference_runs hit);
+  check Alcotest.bool "reused analysis, same verdict" true (again = first);
+  let reseeded_outcome, miss = run reseeded in
+  check Alcotest.int "new seed re-analyses the reference"
+    (reference_runs cold_entries) (reference_runs miss);
+  evict_analysis ();
+  let cold, _ = run reseeded in
+  check Alcotest.bool "reseeded verdict equals a cold run" true
+    (reseeded_outcome = cold)
+
+let test_corruption_after_passing_partition () =
+  (* the corrupted candidate's shrunk failure must not depend on whether
+     the reference analysis was computed for it or for an earlier,
+     passing candidate of the same graph *)
+  let reference, candidate = gate_pair Catalog.and2 Catalog.or2 in
+  let honest = snd (gate_pair Catalog.and2 Catalog.and2) in
+  evict_analysis ();
+  let cold = Codegen.Cosim.run ~reference candidate in
+  (match Codegen.Cosim.run ~reference honest with
+   | Codegen.Cosim.Agreed _ -> ()
+   | _ -> Alcotest.fail "honest candidate did not agree");
+  let warm = Codegen.Cosim.run ~reference candidate in
+  match warm with
+  | Codegen.Cosim.Diverged f ->
+    check Alcotest.int "shrunk to one step" 1 (List.length f.Codegen.Cosim.script);
+    check Alcotest.bool "same failure as a cold run" true (warm = cold)
+  | _ -> Alcotest.fail "corrupted candidate not caught after a passing one"
+
+let design_arbitrary =
+  QCheck.make
+    ~print:(fun (inner, seed) -> Printf.sprintf "inner=%d seed=%d" inner seed)
+    QCheck.Gen.(pair (int_range 8 32) (int_range 0 1_000_000))
+
+let rec interleave xs ys =
+  match xs with [] -> ys | x :: xs -> x :: interleave ys xs
+
+let prop_verdicts_independent_of_order =
+  QCheck.Test.make
+    ~name:"partition verdicts independent of order, copy and slot state"
+    ~count:10 (QCheck.pair design_arbitrary design_arbitrary)
+    (fun ((inner, seed), (other_inner, other_seed)) ->
+      let design inner seed =
+        let g = Randgen.Generator.generate ~rng:(Prng.create seed) ~inner () in
+        (g, ((Core.Paredown.run g).Core.Paredown.solution).Core.Solution.partitions)
+      in
+      let g, parts = design inner seed in
+      let h, other_parts = design other_inner other_seed in
+      let verify g (p : Core.Partition.t) =
+        Codegen.Verify.check_partition g p.Core.Partition.members
+      in
+      let expected = List.map (verify g) parts in
+      let other_expected = List.map (verify h) other_parts in
+      let copy = snd (Netlist.Textio.of_string (Netlist.Textio.to_string g)) in
+      let results =
+        List.map
+          (function
+            | `Copy p -> `Copy (verify copy p)
+            | `Other p -> `Other (verify h p))
+          (interleave
+             (List.rev_map (fun p -> `Copy p) parts)
+             (List.rev_map (fun p -> `Other p) other_parts))
+      in
+      let got =
+        List.rev (List.filter_map (function `Copy s -> Some s | `Other _ -> None) results)
+      and other_got =
+        List.rev (List.filter_map (function `Other s -> Some s | `Copy _ -> None) results)
+      in
+      got = expected && other_got = other_expected)
+
 let () =
   Alcotest.run "verify"
     [
@@ -307,6 +595,19 @@ let () =
         [
           Alcotest.test_case "no silent skips on table 1" `Quick
             test_report_no_silent_skips;
+          Alcotest.test_case "golden reports and counters" `Quick
+            test_golden_reports;
         ] );
-      ("properties", Testlib.qtests [ prop_random_solutions_never_fail ]);
+      ( "reference analysis",
+        [
+          Alcotest.test_case "run counters" `Quick test_run_counters;
+          Alcotest.test_case "config change misses the slot" `Quick
+            test_config_change_misses_slot;
+          Alcotest.test_case "corruption after a passing partition" `Quick
+            test_corruption_after_passing_partition;
+        ] );
+      ( "properties",
+        Testlib.qtests
+          [ prop_random_solutions_never_fail;
+            prop_verdicts_independent_of_order ] );
     ]
