@@ -598,7 +598,7 @@ let () =
           Alcotest.test_case "golden reports and counters" `Quick
             test_golden_reports;
         ] );
-      ( "reference analysis",
+      ( "reference",
         [
           Alcotest.test_case "run counters" `Quick test_run_counters;
           Alcotest.test_case "config change misses the slot" `Quick
